@@ -13,17 +13,26 @@ Run everything with::
 Quick mode: setting ``DAMOCLES_BENCH_QUICK=1`` (the CI smoke job) keeps
 only the smallest parametrized size of each benchmark, so the harnesses
 stay exercised on every push without the full-size timings.
+
+Recording: the wire benchmarks merge their results into the committed
+``BENCH_*.json`` files at the repo root only when
+``DAMOCLES_BENCH_RECORD=1`` is set (and never in quick mode), so a
+plain test run leaves the working tree untouched.  Every record is
+stamped with the host fingerprint, the git commit and the quick flag.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.reporting import ExperimentReport
 
 QUICK = os.environ.get("DAMOCLES_BENCH_QUICK") == "1"
+RECORD = os.environ.get("DAMOCLES_BENCH_RECORD") == "1"
 
 
 def _size_key(item) -> tuple | None:
@@ -76,3 +85,27 @@ def report_printer():
     for report in reports:
         print()
         print(report.to_text())
+
+
+@pytest.fixture
+def record_bench():
+    """``record(path, section, key, value)``: merge one result dict into
+    the BENCH JSON file *path* (see the module docstring for when)."""
+
+    def record(path: Path, section: str, key: str, value: dict) -> None:
+        if not RECORD or QUICK:
+            return  # smoke numbers must not overwrite real measurements
+        from perfbench.bench import git_commit, host_fingerprint
+
+        data = json.loads(path.read_text()) if path.exists() else {}
+        data.setdefault(section, {})[key] = {
+            **value,
+            "recorded_on": {
+                "host": host_fingerprint(),
+                "git_commit": git_commit(),
+                "quick": QUICK,
+            },
+        }
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+    return record

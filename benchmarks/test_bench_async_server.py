@@ -19,7 +19,8 @@ the whole window.  This module measures:
   the framed transport, where a slow subscriber coalesces instead of
   disconnecting.
 
-Results are merge-written to ``BENCH_7.json`` at the repo root.
+With ``DAMOCLES_BENCH_RECORD=1`` results are merge-written to
+``BENCH_7.json`` at the repo root.
 ``DAMOCLES_BENCH_QUICK=1`` runs a smoke pass: tiny bursts, no JSON
 write, no timing assertions.
 """
@@ -64,17 +65,6 @@ endblueprint
 #: ISSUE 7 acceptance: journaled frames throughput at 16 pipelined
 #: clients ≥ SPEEDUP_FLOOR × the plain line-protocol baseline.
 SPEEDUP_FLOOR = 5.0
-
-
-def record_bench(section: str, key: str, value) -> None:
-    """Merge one result into BENCH_7.json (repo root, committed)."""
-    if QUICK:
-        return  # smoke numbers must not overwrite real measurements
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data.setdefault(section, {})[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def baseline_plain_16() -> float | None:
@@ -154,7 +144,7 @@ def timed_burst(
 @pytest.mark.parametrize("transport", ["lines", "frames"])
 @pytest.mark.parametrize("n_clients", [1, 8, 16])
 def test_bench_wire_throughput(
-    benchmark, n_clients, transport, tmp_path, report_printer
+    benchmark, n_clients, transport, tmp_path, report_printer, record_bench
 ):
     """Events/sec over the async server: the transport × journal grid."""
     posts_each = 10 if QUICK else max(125, 2000 // n_clients)
@@ -194,6 +184,7 @@ def test_bench_wire_throughput(
     plain = statistics.median(plain_rates)
     journaled = statistics.median(journal_rates)
     record_bench(
+        BENCH_PATH,
         "throughput",
         f"{n_clients}_clients_{transport}",
         {
@@ -237,7 +228,7 @@ def test_bench_wire_throughput(
 
 @pytest.mark.parametrize("n_subscribers", [1, 16, 64])
 def test_bench_push_latency_fanout(
-    benchmark, n_subscribers, tmp_path, report_printer
+    benchmark, n_subscribers, tmp_path, report_printer, record_bench
 ):
     """Framed push latency p50/p99 as subscriber fan-out grows.
 
@@ -298,6 +289,7 @@ def test_bench_push_latency_fanout(
     p50 = statistics.median(latencies)
     p99 = latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
     record_bench(
+        BENCH_PATH,
         "push_latency_frames",
         f"{n_subscribers}_subscribers",
         {

@@ -19,13 +19,13 @@ measures what that promise costs and how fast it pays out:
   must not add a disk barrier to the notification path (pushes happen
   after the append, inside the wave).
 
-Results are also written to ``BENCH_6.json`` at the repo root
-(machine-readable, merge-updated per test) so regressions diff in
-review.  Quick mode skips the JSON write and the timing assertions:
-its numbers are smoke, not measurements.
+With ``DAMOCLES_BENCH_RECORD=1`` results are also written to
+``BENCH_6.json`` at the repo root (machine-readable, merge-updated per
+test, stamped with host and commit) so regressions diff in review.
+Quick mode skips the JSON write and the timing assertions: its numbers
+are smoke, not measurements.
 """
 
-import json
 import os
 import statistics
 import threading
@@ -63,17 +63,6 @@ endblueprint
 #: ISSUE 6 acceptance: fsync'd journaling costs at most this fraction
 #: of events/sec on the concurrent persistent-connection benchmark.
 MAX_COST = 0.20
-
-
-def record_bench(section: str, key: str, value) -> None:
-    """Merge one result into BENCH_6.json (repo root, committed)."""
-    if QUICK:
-        return  # smoke numbers must not overwrite real measurements
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data.setdefault(section, {})[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def build_stack(n_blocks: int):
@@ -123,7 +112,7 @@ def timed_burst(server: ProjectServer, n_clients: int, posts_each: int) -> float
 
 @pytest.mark.parametrize("n_clients", [1, 8, 16])
 def test_bench_journal_throughput_cost(
-    benchmark, n_clients, tmp_path, report_printer
+    benchmark, n_clients, tmp_path, report_printer, record_bench
 ):
     """Events/sec with the journal on vs off, interleaved rounds."""
     # Enough posts that the measured window is steady-state traffic,
@@ -159,6 +148,7 @@ def test_bench_journal_throughput_cost(
     journaled = statistics.median(journal_rates)
     cost = 1.0 - journaled / plain
     record_bench(
+        BENCH_PATH,
         "throughput",
         f"{n_clients}_clients",
         {
@@ -189,7 +179,9 @@ def test_bench_journal_throughput_cost(
 
 
 @pytest.mark.parametrize("n_entries", [200] if QUICK else [200, 2000])
-def test_bench_recovery_time(benchmark, n_entries, tmp_path, report_printer):
+def test_bench_recovery_time(
+    benchmark, n_entries, tmp_path, report_printer, record_bench
+):
     """Startup replay: journal tail length vs time to recover it."""
     db, engine = build_stack(8)
     wal = WriteAheadLog(tmp_path / "wal")
@@ -225,6 +217,7 @@ def test_bench_recovery_time(benchmark, n_entries, tmp_path, report_printer):
     elapsed = recover()
     benchmark.pedantic(recover, rounds=1 if QUICK else 3, iterations=1)
     record_bench(
+        BENCH_PATH,
         "recovery",
         f"{n_entries}_entries",
         {
@@ -241,7 +234,9 @@ def test_bench_recovery_time(benchmark, n_entries, tmp_path, report_printer):
     report_printer(report)
 
 
-def test_bench_push_latency_with_journal(benchmark, tmp_path, report_printer):
+def test_bench_push_latency_with_journal(
+    benchmark, tmp_path, report_printer, record_bench
+):
     """STALE-push latency with the journal on: p50 and p99.
 
     The append (and its barrier) happens before the wave, so the push
@@ -277,6 +272,7 @@ def test_bench_push_latency_with_journal(benchmark, tmp_path, report_printer):
     p50 = ordered[len(ordered) // 2]
     p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
     record_bench(
+        BENCH_PATH,
         "push_latency_journaled",
         "single_subscriber",
         {

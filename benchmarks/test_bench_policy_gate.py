@@ -12,7 +12,8 @@ on the journaled framed transport — always-allow so every event pays
 the full evaluation (rule match, condition eval, audit append) without
 changing which events apply.
 
-Results are merge-written to ``BENCH_8.json`` at the repo root.
+With ``DAMOCLES_BENCH_RECORD=1`` results are merge-written to
+``BENCH_8.json`` at the repo root.
 ``DAMOCLES_BENCH_QUICK=1`` runs a smoke pass: tiny bursts, no JSON
 write, no timing assertions.
 """
@@ -66,17 +67,6 @@ GATE_RULES = [
 #: ISSUE 8 acceptance: the gate may cost at most this fraction of the
 #: ungated journaled throughput at 16 clients.
 MAX_OVERHEAD = 0.10
-
-
-def record_bench(section: str, key: str, value) -> None:
-    """Merge one result into BENCH_8.json (repo root, committed)."""
-    if QUICK:
-        return  # smoke numbers must not overwrite real measurements
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data.setdefault(section, {})[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def baseline_journaled_16() -> float | None:
@@ -155,7 +145,7 @@ def timed_burst(server, n_clients: int, posts_each: int) -> float:
 
 @pytest.mark.parametrize("n_clients", [1, 8, 16])
 def test_bench_policy_gate_overhead(
-    benchmark, n_clients, tmp_path, report_printer
+    benchmark, n_clients, tmp_path, report_printer, record_bench
 ):
     """Journaled framed throughput, zero-rule vs 4-rule policy.
 
@@ -220,6 +210,7 @@ def test_bench_policy_gate_overhead(
     overhead = 1.0 - statistics.median(ratios)
     baseline = baseline_journaled_16()
     record_bench(
+        BENCH_PATH,
         "policy_gate",
         f"{n_clients}_clients_frames",
         {

@@ -46,7 +46,7 @@ from repro.core.lang.tokens import BlueprintSyntaxError
 from repro.core.lint import Severity, lint_blueprint
 from repro.core.state import project_status
 from repro.metadb.oid import OID
-from repro.metadb.persistence import load_database, save_database
+from repro.metadb.persistence import load_database, replace_durably, save_database
 
 
 def _load_blueprint(path: str) -> Blueprint:
@@ -85,22 +85,10 @@ def _write_policy_sidecar(journal_dir: Path, seq: int, policy) -> None:
     own CHECKPOINT file: a crash mid-write leaves the previous sidecar
     intact, never a torn one.
     """
-    path = journal_dir / POLICY_SIDECAR
     tmp = journal_dir / (POLICY_SIDECAR + ".tmp")
     payload = {"seq": seq, "policy": policy.snapshot_payload()}
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    try:
-        dir_fd = os.open(journal_dir, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    tmp.write_text(json.dumps(payload, sort_keys=True), "utf-8")
+    replace_durably(tmp, journal_dir / POLICY_SIDECAR)
 
 
 def _restore_policy_sidecar(journal_dir: Path, policy) -> int:
@@ -356,15 +344,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             seq = server.bus.applied_seq
             db.wal_seq = seq
             try:
-                if getattr(db, "lazy", False):
-                    db.flush(registry)
-                else:
-                    save_database(
-                        db,
-                        args.database,
-                        registry,
-                        backend=getattr(args, "backend", None),
-                    )
+                # Incremental for a SQLite database (eager or lazy): only
+                # what changed since the last checkpoint is written.
+                save_database(
+                    db, args.database, registry, backend=getattr(args, "backend", None)
+                )
                 _write_policy_sidecar(
                     Path(journal_path), seq, server.bus.policy
                 )

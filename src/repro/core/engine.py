@@ -31,6 +31,7 @@ from __future__ import annotations
 import shlex
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from repro.core.blueprint import Blueprint
@@ -188,7 +189,8 @@ class BlueprintEngine:
         self.strict = strict
         self.auto_link = auto_link
         self.max_wave_deliveries = max_wave_deliveries
-        self.trace: list[TraceRecord] = []
+        #: Ring of the last *trace_limit* records (0 disables tracing).
+        self.trace: deque[TraceRecord] = deque(maxlen=max(trace_limit, 0))
         self.trace_limit = trace_limit
         self.notifications: list[str] = []
         self.exec_log: list[ExecRequest] = []
@@ -572,9 +574,9 @@ class BlueprintEngine:
             return
         self._trace_seq += 1
         self.trace.append(TraceRecord(self._trace_seq, kind, oid, event, detail))
-        if len(self.trace) > self.trace_limit:
-            del self.trace[: len(self.trace) - self.trace_limit]
 
     def trace_text(self, last: int | None = None) -> str:
-        records = self.trace if last is None else self.trace[-last:]
+        records = self.trace
+        if last is not None:
+            records = islice(records, max(len(records) - last, 0), None)
         return "\n".join(str(record) for record in records)

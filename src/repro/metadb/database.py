@@ -95,7 +95,7 @@ class MetaDatabase:
         return self.store.lazy
 
     def flush(self, registry=None) -> None:
-        """Write dirty state back through the store (no-op when eager)."""
+        """Write dirty state back to the store's SQLite file, if it has one."""
         self.store.flush(registry)
 
     def close(self) -> None:
@@ -158,21 +158,13 @@ class MetaDatabase:
 
     def _subscribe_object(self, obj: MetaObject) -> None:
         oid = obj.oid
-        if self.store.lazy:
-            store = self.store
+        mark_dirty = self.store.dirty.prop
 
-            def on_change(change: PropertyChange, _obj: MetaObject = obj) -> None:
-                if self._txn_log is not None:
-                    self._txn_log.append(self._property_undo(_obj, change))
-                self._indexes.property_changed(_obj, change)
-                store.object_dirty(_obj.oid)
-
-        else:
-
-            def on_change(change: PropertyChange, _obj: MetaObject = obj) -> None:
-                if self._txn_log is not None:
-                    self._txn_log.append(self._property_undo(_obj, change))
-                self._indexes.property_changed(_obj, change)
+        def on_change(change: PropertyChange, _obj: MetaObject = obj) -> None:
+            if self._txn_log is not None:
+                self._txn_log.append(self._property_undo(_obj, change))
+            self._indexes.property_changed(_obj, change)
+            mark_dirty(oid, change)
 
         obj.properties.subscribe(on_change)
         self._bag_observers[oid] = on_change
@@ -196,13 +188,13 @@ class MetaDatabase:
         self._indexes.shard_evicted(objs)
 
     def touch(self, oid: OID) -> None:
-        """Mark *oid*'s shard dirty for write-back.
+        """Mark *oid* dirty for write-back.
 
         Property mutations flow through the bag observers automatically;
         this is the escape hatch for direct attribute writes (workspace
         check-out state) that bypass the property channel.
         """
-        self.store.object_dirty(oid)
+        self.store.dirty.object(oid)
 
     def _unindex_object(self, obj: MetaObject) -> None:
         observer = self._bag_observers.pop(obj.oid, None)
@@ -281,6 +273,7 @@ class MetaDatabase:
         if properties:
             obj.properties.update(properties)
         self._objects[oid] = obj
+        self.store.dirty.object(oid)
         versions = self._lineages.setdefault(oid.lineage, [])
         # keep the lineage list sorted; check-ins normally append
         if versions and versions[-1] > oid.version:
@@ -320,6 +313,7 @@ class MetaDatabase:
                 self.remove_link(link_id)
         obj = self._objects[oid]
         del self._objects[oid]
+        self.store.dirty.object(oid)
         versions = self._lineages.get(oid.lineage)
         if versions is not None:
             versions.remove(oid.version)
@@ -334,6 +328,7 @@ class MetaDatabase:
         if oid in self._objects:
             raise DuplicateOIDError(oid)
         self._objects[oid] = obj
+        self.store.dirty.object(oid)
         versions = self._lineages.setdefault(oid.lineage, [])
         versions.append(oid.version)
         versions.sort()
@@ -449,6 +444,7 @@ class MetaDatabase:
         self._next_link_id += 1
         self._tick()
         self._links[link.link_id] = link
+        self.store.dirty.link(link.link_id)
         self._outgoing.setdefault(source, set()).add(link.link_id)
         self._incoming.setdefault(dest, set()).add(link.link_id)
         self._indexes.link_touched(source, dest)
@@ -469,12 +465,14 @@ class MetaDatabase:
         self._outgoing.get(link.source, set()).discard(link_id)
         self._incoming.get(link.dest, set()).discard(link_id)
         del self._links[link_id]
+        self.store.dirty.unlink(link_id)
         self._indexes.link_touched(link.source, link.dest)
         self._log_undo(lambda: self._restore_link(link))
 
     def _restore_link(self, link: Link) -> None:
         """Re-insert a removed link instance (transaction rollback)."""
         self._links[link.link_id] = link
+        self.store.dirty.link(link.link_id)
         self._outgoing.setdefault(link.source, set()).add(link.link_id)
         self._incoming.setdefault(link.dest, set()).add(link.link_id)
         self._indexes.link_touched(link.source, link.dest)
@@ -531,6 +529,7 @@ class MetaDatabase:
         self._incoming.get(link.dest, set()).discard(link_id)
         link.source = new_source
         link.dest = new_dest
+        self.store.dirty.link(link_id)
         self._outgoing.setdefault(new_source, set()).add(link_id)
         self._incoming.setdefault(new_dest, set()).add(link_id)
         self._indexes.link_touched(old_source, old_dest, new_source, new_dest)

@@ -65,7 +65,7 @@ class IndexRegistry:
         #: Non-resident lookup provider installed by a lazy store
         #: (:class:`repro.metadb.store.LazySqliteStore`).  When set, the
         #: in-memory buckets only cover *resident* objects and the
-        #: ``*_full`` lookups union them with SQL pushdowns.
+        #: query planner and ``stale_full`` union them with SQL pushdowns.
         self.pushdown = None
 
     # ------------------------------------------------------------------
@@ -237,38 +237,12 @@ class IndexRegistry:
     # faulting-aware lookups (resident indexes ∪ SQL pushdown)
     # ------------------------------------------------------------------
     #
-    # With no pushdown installed these reduce to the resident lookups —
+    # With no pushdown installed this reduces to the resident lookup —
     # the eager path pays nothing.  With one installed, the resident
     # buckets cover exactly the resident lineages and the pushdown
     # covers exactly the rest (the store excludes resident lineages
     # itself), so the union is the complete logical answer without a
-    # full load.
-
-    def property_bucket_full(self, name: str, value: Value) -> set[OID]:
-        """All OIDs (resident or not) whose property *name* == *value*."""
-        oids = set(self.property_bucket(name, value))
-        if self.pushdown is not None:
-            oids |= self.pushdown.property_oids(name, value)
-        return oids
-
-    def view_bucket_full(self, view: str) -> set[OID]:
-        oids = set(self.by_view.get(view, ()))
-        if self.pushdown is not None:
-            oids |= self.pushdown.view_oids(view)
-        return oids
-
-    def block_bucket_full(self, block: str) -> set[OID]:
-        oids = set(self.by_block.get(block, ()))
-        if self.pushdown is not None:
-            oids |= self.pushdown.block_oids(block)
-        return oids
-
-    def latest_full(self) -> set[OID]:
-        """Every lineage head, resident or not."""
-        oids = set(self.latest.values())
-        if self.pushdown is not None:
-            oids |= self.pushdown.latest_oids()
-        return oids
+    # full load.  The query planner unions the other buckets itself.
 
     def stale_full(self) -> set[OID]:
         """The complete logical stale set (resident ∪ pushdown)."""

@@ -154,6 +154,26 @@ def database_from_dict(
     return db, registry
 
 
+def replace_durably(tmp: Path, path: Path) -> None:
+    """Atomically replace *path* with the finished file *tmp*.
+
+    fsync the data, rename, fsync the directory: a process killed
+    mid-save (checkpoint under fault injection, power loss) leaves
+    either the old file or the new one, never a truncated half-write.
+    """
+    with open(tmp, "rb") as handle:
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    try:
+        directory = os.open(path.parent, os.O_RDONLY)
+    except OSError:
+        return  # platform without directory fsync; best effort
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
 # ---------------------------------------------------------------------------
 # backend protocol
 # ---------------------------------------------------------------------------
@@ -200,15 +220,9 @@ class JsonBackend:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = database_to_dict(db, registry)
-        # Atomic replace: a process killed mid-save (checkpoint under
-        # fault injection, power loss) must leave either the old file or
-        # the new one, never a truncated half-write.
         tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2, sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True), "utf-8")
+        replace_durably(tmp, path)
         return path
 
     def load(self, path: Path | str) -> tuple[MetaDatabase, ConfigurationRegistry]:

@@ -20,27 +20,37 @@ work the roadmap names.
 
 Property values are stored as ``(value_type, text)`` pairs so booleans,
 ints, floats and strings round-trip losslessly through SQL ``TEXT``.
+
+Saving a database back to the file it was loaded from (or last saved
+to) is an incremental write-back of what changed since (see
+:mod:`repro.metadb.store`); any other save is a full rewrite into a
+temporary file that atomically replaces the target, so a crash
+mid-save leaves the old file intact.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+from contextlib import closing
 from pathlib import Path
+from typing import Callable
 
 from repro.metadb.configurations import Configuration, ConfigurationRegistry
 from repro.metadb.database import MetaDatabase
 from repro.metadb.errors import PersistenceError
-from repro.metadb.links import LinkClass
 from repro.metadb.oid import OID
+from repro.metadb.persistence import replace_durably
 from repro.metadb.store import (
     DEFAULT_CACHE_LINEAGES,
+    FORMAT_VERSION,
+    LINK_COLUMNS,
     LazySqliteStore,
     _decode_value,
-    _encode_value,
+    link_fields,
+    window_clause,
+    write_rows,
 )
-
-FORMAT_VERSION = 1
 
 _SCHEMA = """
 CREATE TABLE meta (
@@ -110,92 +120,25 @@ class SqliteBackend:
     ) -> Path:
         path = Path(path)
         store = db.store
-        if isinstance(store, LazySqliteStore) and (
-            path.exists() and path.resolve() == store.path.resolve()
-        ):
-            # Saving a lazy database back to its own backing file is an
-            # incremental write-back of the dirty shards, not a full
-            # rewrite — rewriting would first fault the whole database in.
+        if store.writes_back_to(path):
+            # Saving back to the file the store mirrors is an incremental
+            # write-back of the dirty rows, not a full rewrite (which, for
+            # a lazy store, would first fault the whole database in).
             store.flush(registry)
             return path
         path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            path.unlink()  # full rewrite, like the JSON backend
-        connection = sqlite3.connect(path)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.unlink(missing_ok=True)  # a previous crash's leftover
         try:
-            connection.executescript(_SCHEMA)
-            connection.executemany(
-                "INSERT INTO meta (key, value) VALUES (?, ?)",
-                [
-                    ("format", str(FORMAT_VERSION)),
-                    ("name", db.name),
-                    # The logical clock and link-id counter are database
-                    # state, not derivable from the rows: losing them on
-                    # a round-trip reused link ids and regressed the
-                    # clock (configurations compare created_clock).
-                    ("clock", str(db.clock)),
-                    ("next_link_id", str(db._next_link_id)),
-                    # Journal watermark: recovery replays WAL entries
-                    # strictly after this seq (see repro.network.wal).
-                    ("wal_seq", str(db.wal_seq)),
-                ],
-            )
-            object_rows = []
-            property_rows = []
-            for obj in sorted(db.objects(), key=lambda o: o.oid.sort_key()):
-                oid = obj.oid
-                object_rows.append(
-                    (oid.block, oid.view, oid.version, obj.created_seq,
-                     obj.checked_out_by)
-                )
-                for name, value in sorted(obj.properties.items()):
-                    value_type, text = _encode_value(value)
-                    property_rows.append(
-                        (oid.block, oid.view, oid.version, name, text, value_type)
-                    )
-            connection.executemany(
-                "INSERT INTO objects VALUES (?, ?, ?, ?, ?)", object_rows
-            )
-            connection.executemany(
-                "INSERT INTO properties VALUES (?, ?, ?, ?, ?, ?)", property_rows
-            )
-            link_rows = []
-            for link in sorted(db.links(), key=lambda l: l.link_id):
-                link_rows.append(
-                    (
-                        link.link_id,
-                        link.source.block, link.source.view, link.source.version,
-                        link.dest.block, link.dest.view, link.dest.version,
-                        link.link_class.value,
-                        json.dumps(sorted(link.propagates)),
-                        link.link_type,
-                        1 if link.move else 0,
-                    )
-                )
-            connection.executemany(
-                "INSERT INTO links VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                link_rows,
-            )
-            if registry is not None:
-                config_rows = []
-                for name in registry.names():
-                    config = registry.get(name)
-                    config_rows.append(
-                        (
-                            config.name,
-                            config.description,
-                            config.created_clock,
-                            json.dumps(sorted(oid.wire() for oid in config.oids)),
-                            json.dumps(sorted(config.link_ids)),
-                        )
-                    )
-                connection.executemany(
-                    "INSERT INTO configurations VALUES (?, ?, ?, ?, ?)",
-                    config_rows,
-                )
-            connection.commit()
-        finally:
-            connection.close()
+            with closing(sqlite3.connect(tmp)) as connection:
+                connection.executescript(_SCHEMA)
+                write_rows(connection, db, registry, full=True)
+            replace_durably(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        if not store.lazy:
+            store.synced(path)
         return path
 
     # ------------------------------------------------------------------
@@ -203,8 +146,14 @@ class SqliteBackend:
     # ------------------------------------------------------------------
 
     def load(self, path: Path | str) -> tuple[MetaDatabase, ConfigurationRegistry]:
-        """Load the full database (indexes rebuild via normal mutators)."""
-        return self.load_partial(path)
+        """Load the full database (indexes rebuild via normal mutators).
+
+        The loaded database remembers *path*: saving it back there
+        writes only what changed since.
+        """
+        db, registry = self.load_partial(path)
+        db.store.synced(Path(path))
+        return db, registry
 
     def load_partial(
         self,
@@ -239,15 +188,11 @@ class SqliteBackend:
         blocks: set[str] | None,
         views: set[str] | None,
     ) -> tuple[MetaDatabase, ConfigurationRegistry]:
-        meta = dict(connection.execute("SELECT key, value FROM meta"))
-        if meta.get("format") != str(FORMAT_VERSION):
-            raise PersistenceError(
-                f"unsupported format version {meta.get('format')!r} "
-                f"(expected {FORMAT_VERSION})"
-            )
+        meta = _read_meta(connection)
         db = MetaDatabase(name=meta.get("name", "project"))
 
-        where, params = self._object_filter(blocks, views)
+        clause, params = window_clause(blocks, views)
+        where = f" WHERE {clause}" if clause else ""
         rows = connection.execute(
             "SELECT block, view, version, created_seq, checked_out_by "
             f"FROM objects{where} ORDER BY block, view, version",
@@ -267,54 +212,19 @@ class SqliteBackend:
             if obj is not None:
                 obj.set(name, _decode_value(value_type, text))
 
-        id_map: dict[int, int] = {}
-        link_rows = connection.execute(
-            "SELECT id, src_block, src_view, src_version, "
-            "dst_block, dst_view, dst_version, class, propagates, type, move "
-            "FROM links ORDER BY id"
-        ).fetchall()
-        for (link_id, sb, sv, sn, tb, tv, tn, link_class, propagates, link_type,
-             move) in link_rows:
-            source = OID(sb, sv, sn)
-            dest = OID(tb, tv, tn)
-            if source not in db or dest not in db:
+        for row in connection.execute(
+            f"SELECT {LINK_COLUMNS} FROM links ORDER BY id"
+        ).fetchall():
+            fields = link_fields(row)
+            if fields["source"] not in db or fields["dest"] not in db:
                 continue  # endpoint outside the partial-load window
-            link = db.add_link(
-                source,
-                dest,
-                LinkClass(link_class),
-                propagates=json.loads(propagates),
-                link_type=link_type,
-                move=bool(move),
-                fire_hooks=False,
-            )
-            id_map[link_id] = link.link_id
+            # Keep the stored id: incremental write-back addresses rows by it.
+            db._next_link_id = fields.pop("link_id")
+            db.add_link(**fields, fire_hooks=False)
 
-        registry = ConfigurationRegistry(db)
-        config_rows = connection.execute(
-            "SELECT name, description, created_clock, oids, link_ids "
-            "FROM configurations ORDER BY name"
-        ).fetchall()
-        for name, description, created_clock, oids_text, link_ids_text in config_rows:
-            oids = frozenset(
-                oid
-                for oid in (OID.parse(text) for text in json.loads(oids_text))
-                if oid in db
-            )
-            link_ids = frozenset(
-                id_map[link_id]
-                for link_id in json.loads(link_ids_text)
-                if link_id in id_map
-            )
-            registry.save(
-                Configuration(
-                    name=name,
-                    description=description,
-                    oids=oids,
-                    link_ids=link_ids,
-                    created_clock=created_clock,
-                )
-            )
+        registry = _load_configurations(
+            connection, db, db.__contains__, db._links.__contains__
+        )
         # Restore the persisted counters (see ``save``); ``max`` guards
         # files written before they were stored and partial loads whose
         # replayed mutations already advanced past the stored values.
@@ -363,12 +273,7 @@ class SqliteBackend:
         path = store.path
         try:
             connection = store._connection
-            meta = dict(connection.execute("SELECT key, value FROM meta"))
-            if meta.get("format") != str(FORMAT_VERSION):
-                raise PersistenceError(
-                    f"unsupported format version {meta.get('format')!r} "
-                    f"(expected {FORMAT_VERSION})"
-                )
+            meta = _read_meta(connection)
             db = MetaDatabase(name=meta.get("name", "project"), store=store)
             if "clock" in meta:
                 db._seq = int(meta["clock"])
@@ -400,7 +305,6 @@ class SqliteBackend:
         sets) but membership checks go through the store's no-fault
         existence probe so a big configuration cannot page the window
         full at open time."""
-        registry = ConfigurationRegistry(db)
         link_window: dict[int, bool] = {}
         if store.blocks is not None or store.views is not None:
             for row in connection.execute(
@@ -409,47 +313,40 @@ class SqliteBackend:
                 link_window[row[0]] = store._in_window(
                     row[1], row[2]
                 ) and store._in_window(row[3], row[4])
-        for name, description, created_clock, oids_text, link_ids_text in (
-            connection.execute(
-                "SELECT name, description, created_clock, oids, link_ids "
-                "FROM configurations ORDER BY name"
-            ).fetchall()
-        ):
-            oids = frozenset(
-                oid
-                for oid in (OID.parse(text) for text in json.loads(oids_text))
-                if store.has_object(oid)
-            )
-            link_ids = frozenset(
-                link_id
-                for link_id in json.loads(link_ids_text)
-                if link_window.get(link_id, True)
-            )
-            registry.save(
-                Configuration(
-                    name=name,
-                    description=description,
-                    oids=oids,
-                    link_ids=link_ids,
-                    created_clock=created_clock,
-                )
-            )
-        return registry
+        return _load_configurations(
+            connection, db, store.has_object, lambda i: link_window.get(i, True)
+        )
 
-    @staticmethod
-    def _object_filter(
-        blocks: set[str] | None, views: set[str] | None
-    ) -> tuple[str, list[str]]:
-        clauses: list[str] = []
-        params: list[str] = []
-        if blocks is not None:
-            placeholders = ", ".join("?" for _ in blocks)
-            clauses.append(f"block IN ({placeholders})")
-            params.extend(sorted(blocks))
-        if views is not None:
-            placeholders = ", ".join("?" for _ in views)
-            clauses.append(f"view IN ({placeholders})")
-            params.extend(sorted(views))
-        if not clauses:
-            return "", []
-        return " WHERE " + " AND ".join(clauses), params
+
+def _read_meta(connection: sqlite3.Connection) -> dict[str, str]:
+    meta = dict(connection.execute("SELECT key, value FROM meta"))
+    if meta.get("format") != str(FORMAT_VERSION):
+        raise PersistenceError(
+            f"unsupported format version {meta.get('format')!r} "
+            f"(expected {FORMAT_VERSION})"
+        )
+    return meta
+
+
+def _load_configurations(
+    connection: sqlite3.Connection,
+    db: MetaDatabase,
+    has_oid: Callable[[OID], bool],
+    has_link: Callable[[int], bool],
+) -> ConfigurationRegistry:
+    """The stored configurations, each intersected with what *db* holds."""
+    registry = ConfigurationRegistry(db)
+    for name, description, created_clock, oids, link_ids in connection.execute(
+        "SELECT name, description, created_clock, oids, link_ids "
+        "FROM configurations ORDER BY name"
+    ).fetchall():
+        registry.save(
+            Configuration(
+                name=name,
+                description=description,
+                oids=frozenset(filter(has_oid, map(OID.parse, json.loads(oids)))),
+                link_ids=frozenset(filter(has_link, json.loads(link_ids))),
+                created_clock=created_clock,
+            )
+        )
+    return registry

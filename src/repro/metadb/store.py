@@ -5,8 +5,7 @@ dicts (objects, links, outgoing/incoming adjacency, lineages).  This
 module turns that implicit contract into the **ObjectStore protocol**:
 
 * :class:`InMemoryStore` — the default; adopts the database's plain
-  dicts untouched, so the eager path keeps today's semantics (and cost)
-  byte for byte;
+  dicts untouched, so the eager path keeps today's semantics;
 * :class:`LazySqliteStore` — a demand-faulting store over the SQLite
   backend's normalised tables.  Objects, properties and link adjacency
   are *faulted in on first touch* from the on-disk SQL indexes, in
@@ -37,15 +36,24 @@ lean on these):
    applies to index/pushdown-served workloads, which is where the
    O(window) footprint matters.
 
-Write-back is dirty-tracking: ``flush``/``close`` rewrite only the
-shards and links mutated since load (plus the ``meta`` bookkeeping:
-logical clock, next link id), in one SQL transaction.
+Write-back is dirty-tracking for both stores.  Each store carries a
+:class:`DirtySet` that the database's mutators report into (object
+create/remove, property changes, check-out via ``touch``, link
+create/remove/retarget), and :func:`write_rows` replaces just those
+rows — plus the ``meta`` bookkeeping: logical clock, next link id,
+journal watermark — in one SQL transaction, so a checkpoint costs what
+changed, not what exists.  The lazy store writes back to the file it
+faults from; the eager store to the SQLite file it was loaded from or
+last fully saved to (``InMemoryStore.path``).
 """
 
 from __future__ import annotations
 
+import json
+import os
 import sqlite3
 import threading
+from contextlib import closing
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
 
@@ -53,7 +61,8 @@ from repro.metadb.errors import PersistenceError
 from repro.metadb.links import Link, LinkClass
 from repro.metadb.objects import MetaObject
 from repro.metadb.oid import OID
-from repro.metadb.properties import Value
+from repro.metadb.properties import PropertyChange, Value
+from repro.testing.faults import crash_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.metadb.configurations import ConfigurationRegistry
@@ -62,6 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: Default bound on concurrently resident lineages in a lazy store.
 DEFAULT_CACHE_LINEAGES = 1024
 
+#: The SQLite file format (``meta.format``); loaders refuse others.
+FORMAT_VERSION = 1
+
 
 @runtime_checkable
 class ObjectStore(Protocol):
@@ -69,43 +81,291 @@ class ObjectStore(Protocol):
 
     ``bind`` is called once from ``MetaDatabase.__post_init__``; a lazy
     store replaces the database's maps with faulting views and installs
-    itself as the index registry's pushdown provider.  ``object_dirty``
-    is the write-notification channel (property mutations and workspace
-    check-outs route through it); ``flush``/``close`` write dirty state
-    back.  The in-memory store implements everything as no-ops.
+    itself as the index registry's pushdown provider.  ``dirty`` is the
+    write-notification channel the database's mutators report into;
+    ``flush`` writes it back to the SQLite file at ``path`` (when
+    ``writes_back_to`` that file) and ``close`` releases the store.
     """
 
     name: str
     lazy: bool
+    dirty: "DirtySet"
+    path: Path | None
 
     def bind(self, db: "MetaDatabase") -> None: ...
 
-    def object_dirty(self, oid: OID) -> None: ...
+    def writes_back_to(self, path: Path) -> bool: ...
 
     def flush(self, registry: "ConfigurationRegistry | None" = None) -> None: ...
 
     def close(self) -> None: ...
 
 
+class DirtySet:
+    """What changed since a store last matched its SQLite file.
+
+    ``objects`` holds OIDs whose rows are replaced whole (created,
+    removed or checked out); ``props`` maps other OIDs to the value each
+    changed property had before its first change (``None``: absent), so
+    a write-back rewrites only the property rows whose value really
+    differs from the disk — a view staled and re-checked-in between two
+    checkpoints writes nothing.  ``links`` are links to rewrite,
+    ``deleted_links`` links whose rows must go.  An inactive set (an
+    eager database with no SQLite file yet) records nothing.
+    ``rows_written`` counts the rows every save and write-back so far
+    wrote (the ``checkpoint_rows`` gauge).
+    """
+
+    def __init__(self, active: bool = True) -> None:
+        self.active = active
+        self.objects: set[OID] = set()
+        self.props: dict[OID, dict[str, Value | None]] = {}
+        self.links: set[int] = set()
+        self.deleted_links: set[int] = set()
+        self.rows_written = 0
+
+    def object(self, oid: OID) -> None:
+        if self.active:
+            self.objects.add(oid)
+
+    def prop(self, oid: OID, change: PropertyChange) -> None:
+        if self.active:
+            olds = self.props.get(oid)
+            if olds is None:
+                self.props[oid] = {change.name: change.old}
+            elif change.name not in olds:
+                olds[change.name] = change.old
+
+    def link(self, link_id: int) -> None:
+        if self.active:
+            self.links.add(link_id)
+            self.deleted_links.discard(link_id)
+
+    def unlink(self, link_id: int) -> None:
+        if self.active:
+            self.links.discard(link_id)
+            self.deleted_links.add(link_id)
+
+    def lineages(self) -> set[tuple[str, str]]:
+        """Lineages holding dirt (a lazy store pins them)."""
+        return {oid.lineage for oid in (*self.objects, *self.props)}
+
+    def clear(self) -> None:
+        self.objects.clear()
+        self.props.clear()
+        self.links.clear()
+        self.deleted_links.clear()
+
+
+def write_rows(
+    connection: sqlite3.Connection,
+    db: "MetaDatabase",
+    registry: "ConfigurationRegistry | None" = None,
+    *,
+    full: bool = False,
+) -> None:
+    """Write *db* into an SQLite meta-database in one transaction.
+
+    ``full`` inserts every object and link (a save into a freshly
+    created file); otherwise only the rows ``db.store.dirty`` names are
+    replaced, and the dirty set is cleared once the transaction
+    commits.  The ``meta`` rows travel in the same transaction as the
+    data: the journal watermark (``wal_seq``) must never claim coverage
+    the rows do not have, and the logical clock and link-id counter are
+    database state a reload must not regress or reuse.  Configurations
+    are rewritten when *registry* is given.
+    """
+    dirty = db.store.dirty
+    property_rows: list[tuple] = []  # inserted, or upserted over a stale row
+    drops: list[tuple] = []
+    if full:
+        objs = sorted(db.objects(), key=lambda obj: obj.oid.sort_key())
+        links = sorted(db.links(), key=lambda link: link.link_id)
+    else:
+        # Raw dict reads: a lazy store pins dirty shards, so nothing
+        # here may fault (a miss is a removal, not a non-resident row).
+        oids = sorted(dirty.objects, key=OID.sort_key)
+        objs = [dict.get(db._objects, oid) for oid in oids]
+        objs = [obj for obj in objs if obj is not None]
+        links = [dict.get(db._links, i) for i in sorted(dirty.links)]
+        links = [link for link in links if link is not None]
+        for oid, olds in dirty.props.items():
+            obj = dict.get(db._objects, oid)
+            if obj is None or oid in dirty.objects:
+                continue  # rewritten whole (or removed) above
+            for name, old in olds.items():
+                new = obj.properties.get(name)
+                if new is None:
+                    if old is not None:
+                        drops.append((*oid.sort_key(), name))
+                elif old is None or _encode_value(new) != _encode_value(old):
+                    property_rows.append((*oid.sort_key(), name, *_encode_row(new)))
+    object_rows = []
+    for obj in objs:
+        key = obj.oid.sort_key()
+        object_rows.append((*key, obj.created_seq, obj.checked_out_by))
+        for name, value in sorted(obj.properties.items()):
+            property_rows.append((*key, name, *_encode_row(value)))
+    link_rows = [
+        (
+            link.link_id,
+            link.source.block, link.source.view, link.source.version,
+            link.dest.block, link.dest.view, link.dest.version,
+            link.link_class.value,
+            json.dumps(sorted(link.propagates)),
+            link.link_type,
+            1 if link.move else 0,
+        )
+        for link in links
+    ]
+    config_rows = [
+        (
+            config.name,
+            config.description,
+            config.created_clock,
+            json.dumps(sorted(oid.wire() for oid in config.oids)),
+            json.dumps(sorted(config.link_ids)),
+        )
+        for config in map(registry.get, registry.names())
+    ] if registry is not None else []
+    with connection:
+        if not full:
+            keys = [oid.sort_key() for oid in oids]
+            for table in ("objects", "properties"):
+                connection.executemany(
+                    f"DELETE FROM {table} "
+                    "WHERE block = ? AND view = ? AND version = ?",
+                    keys,
+                )
+            connection.executemany(
+                "DELETE FROM properties "
+                "WHERE block = ? AND view = ? AND version = ? AND name = ?",
+                drops,
+            )
+            connection.executemany(
+                "DELETE FROM links WHERE id = ?",
+                [(i,) for i in sorted(dirty.links | dirty.deleted_links)],
+            )
+        connection.executemany(
+            "INSERT INTO meta (key, value) VALUES (?, ?) "
+            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
+            [
+                ("format", str(FORMAT_VERSION)),
+                ("name", db.name),
+                ("clock", str(db.clock)),
+                ("next_link_id", str(db._next_link_id)),
+                ("wal_seq", str(db.wal_seq)),
+            ],
+        )
+        connection.executemany(
+            "INSERT INTO objects VALUES (?, ?, ?, ?, ?)", object_rows
+        )
+        connection.executemany(
+            "INSERT INTO properties VALUES (?, ?, ?, ?, ?, ?) "
+            "ON CONFLICT(block, view, version, name) DO UPDATE SET "
+            "value = excluded.value, value_type = excluded.value_type",
+            property_rows,
+        )
+        connection.executemany(
+            "INSERT INTO links VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", link_rows
+        )
+        if registry is not None:
+            connection.execute("DELETE FROM configurations")
+            connection.executemany(
+                "INSERT INTO configurations VALUES (?, ?, ?, ?, ?)", config_rows
+            )
+        crash_point("mid-checkpoint-write")
+    if not full:
+        dirty.clear()
+    dirty.rows_written += sum(
+        map(len, (object_rows, property_rows, drops, link_rows, config_rows))
+    )
+
+
+#: The ``links`` columns :func:`link_fields` decodes, in order.
+LINK_COLUMNS = (
+    "id, src_block, src_view, src_version, "
+    "dst_block, dst_view, dst_version, class, propagates, type, move"
+)
+
+
+def link_fields(row: tuple) -> dict:
+    """A ``links`` row as :class:`Link` keyword arguments."""
+    (link_id, sb, sv, sn, tb, tv, tn, link_class, propagates, link_type,
+     move) = row
+    return dict(
+        link_id=link_id,
+        source=OID(sb, sv, sn),
+        dest=OID(tb, tv, tn),
+        link_class=LinkClass(link_class),
+        propagates=set(json.loads(propagates)),
+        link_type=link_type,
+        move=bool(move),
+    )
+
+
+def window_clause(
+    blocks: Iterable[str] | None, views: Iterable[str] | None
+) -> tuple[str, list[str]]:
+    """SQL condition (and parameters) restricting rows to a shard window."""
+    clauses: list[str] = []
+    params: list[str] = []
+    for column, names in (("block", blocks), ("view", views)):
+        if names is not None:
+            clauses.append(f"{column} IN ({', '.join('?' for _ in names)})")
+            params.extend(sorted(names))
+    return " AND ".join(clauses), params
+
+
+def _file_stamp(path: Path) -> tuple[int, int, int] | None:
+    stat = os.stat(path) if os.path.exists(path) else None
+    return stat and (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
 class InMemoryStore:
     """The default store: the database's own dicts, unchanged.
 
-    ``bind`` deliberately does nothing — the eager path must stay
-    byte-for-byte identical to the pre-protocol behaviour, including
-    the absence of any per-mutation store call overhead.
+    ``bind`` adopts the dicts as they are.  The store's only state is
+    the :class:`DirtySet` of mutations since the database last matched
+    ``path`` — the SQLite file it was loaded from or last fully saved
+    to — so a save back to that file writes only what changed.  The
+    file's stamp (inode, size, mtime) is remembered after every write:
+    if anything else rewrote the file since, :meth:`writes_back_to`
+    refuses and the save falls back to a full rewrite.
     """
 
     name = "memory"
     lazy = False
 
-    def bind(self, db: "MetaDatabase") -> None:
-        pass
+    def __init__(self) -> None:
+        self.dirty = DirtySet(active=False)
+        self.path: Path | None = None
+        self._stamp: tuple[int, int, int] | None = None
 
-    def object_dirty(self, oid: OID) -> None:
-        pass
+    def bind(self, db: "MetaDatabase") -> None:
+        self.db = db
+
+    def synced(self, path: Path) -> None:
+        """The database now matches the SQLite file *path* exactly."""
+        self.path = Path(path)
+        self.dirty.clear()
+        self.dirty.active = True
+        self._stamp = _file_stamp(self.path)
+
+    def writes_back_to(self, path: Path) -> bool:
+        return (
+            self._stamp is not None
+            and _file_stamp(path) == self._stamp
+            and os.path.samefile(path, self.path)
+        )
 
     def flush(self, registry: "ConfigurationRegistry | None" = None) -> None:
-        pass
+        """Write the dirty rows back to ``path`` (no-op without one)."""
+        if self.path is None:
+            return
+        with closing(sqlite3.connect(self.path)) as connection:
+            write_rows(connection, self.db, registry)
+        self._stamp = _file_stamp(self.path)
 
     def close(self) -> None:
         pass
@@ -120,10 +380,9 @@ class _FaultingMap(dict):
     ``__len__`` reports the *logical* size via *length* when given —
     resident plus on-disk — without materialising anything.
 
-    Mutations through the normal mapping protocol invoke the *on_set* /
-    *on_del* callbacks so the store can track dirt and residency; the
-    store's own fault path writes through ``dict.__setitem__`` and
-    therefore never re-enters these hooks.
+    Insertions through the normal mapping protocol invoke *on_set* so
+    the store can track residency; the store's own fault path writes
+    through ``dict.__setitem__`` and therefore never re-enters it.
     """
 
     def __init__(
@@ -132,14 +391,12 @@ class _FaultingMap(dict):
         fault_all: Callable[[], None],
         length: Callable[[], int] | None = None,
         on_set: Callable[[object, object], None] | None = None,
-        on_del: Callable[[object], None] | None = None,
     ) -> None:
         super().__init__()
         self._fault_key = fault_key
         self._fault_all = fault_all
         self._length = length
         self._on_set = on_set
-        self._on_del = on_del
 
     # -- lookups fault --------------------------------------------------
 
@@ -186,8 +443,6 @@ class _FaultingMap(dict):
     def __delitem__(self, key) -> None:
         if key not in self:  # faulting containment
             raise KeyError(key)
-        if self._on_del is not None:
-            self._on_del(key)
         dict.__delitem__(self, key)
 
     # -- whole-map operations materialise -------------------------------
@@ -227,6 +482,12 @@ def _encode_value(value: Value) -> tuple[str, str]:
     if isinstance(value, float):
         return ("float", repr(value))
     return ("str", value)
+
+
+def _encode_row(value: Value) -> tuple[str, str]:
+    """(text, value_type): the column order of a ``properties`` row."""
+    value_type, text = _encode_value(value)
+    return text, value_type
 
 
 def _decode_value(value_type: str, text: str) -> Value:
@@ -327,10 +588,8 @@ class LazySqliteStore:
         self._closed = False
         # residency / dirt -------------------------------------------------
         self._resident: dict[tuple[str, str], None] = {}  # insertion = LRU order
-        self._dirty_lineages: set[tuple[str, str]] = set()
+        self.dirty = DirtySet()
         self._adj_resident: set[OID] = set()
-        self._dirty_links: set[int] = set()
-        self._deleted_links: set[int] = set()
         self._disk_link_ids_loaded: set[int] = set()
         self._all_objects = False
         self._all_links = False
@@ -350,8 +609,6 @@ class LazySqliteStore:
             else None,
             self._fault_all_objects,
             length=self._object_count,
-            on_set=self._object_set,
-            on_del=self._object_del,
         )
         self._lineages = _FaultingMap(
             self._fault_lineage,
@@ -360,11 +617,7 @@ class LazySqliteStore:
             on_set=self._lineage_set,
         )
         self._links = _FaultingMap(
-            self._fault_link,
-            self._fault_all_links,
-            length=self._link_count,
-            on_set=self._link_set,
-            on_del=self._link_del,
+            self._fault_link, self._fault_all_links, length=self._link_count
         )
         self._outgoing = _FaultingMap(self._fault_adjacency, self._fault_all_links)
         self._incoming = _FaultingMap(self._fault_adjacency, self._fault_all_links)
@@ -386,51 +639,13 @@ class LazySqliteStore:
             return False
         return True
 
-    def _window_clause(self, prefix: str = "") -> tuple[str, list[str]]:
-        clauses: list[str] = []
-        params: list[str] = []
-        if self.blocks is not None:
-            clauses.append(
-                f"{prefix}block IN ({', '.join('?' for _ in self.blocks)})"
-            )
-            params.extend(sorted(self.blocks))
-        if self.views is not None:
-            clauses.append(
-                f"{prefix}view IN ({', '.join('?' for _ in self.views)})"
-            )
-            params.extend(sorted(self.views))
-        if not clauses:
-            return "", []
-        return " AND ".join(clauses), params
-
-    # ------------------------------------------------------------------
-    # mutation callbacks (wired through _FaultingMap)
-    # ------------------------------------------------------------------
-
-    def _object_set(self, oid: OID, obj: MetaObject) -> None:
-        lineage = oid.lineage
-        if lineage not in self._resident:
-            self._resident[lineage] = None
-        self._dirty_lineages.add(lineage)
-
-    def _object_del(self, oid: OID) -> None:
-        self._dirty_lineages.add(oid.lineage)
-
     def _lineage_set(self, lineage: tuple[str, str], versions) -> None:
+        # A created object's lineage becomes resident (pinned by its dirt).
         if lineage not in self._resident:
             self._resident[lineage] = None
 
-    def _link_set(self, link_id: int, link: Link) -> None:
-        self._dirty_links.add(link_id)
-        self._deleted_links.discard(link_id)
-
-    def _link_del(self, link_id: int) -> None:
-        self._dirty_links.discard(link_id)
-        self._deleted_links.add(link_id)
-
-    def object_dirty(self, oid: OID) -> None:
-        """Property mutation / check-out notification from the database."""
-        self._dirty_lineages.add(oid.lineage)
+    def writes_back_to(self, path: Path) -> bool:
+        return path.exists() and path.resolve() == self.path.resolve()
 
     # ------------------------------------------------------------------
     # faulting
@@ -490,7 +705,7 @@ class LazySqliteStore:
         if self._all_objects:
             return
         self._all_objects = True  # set first: faulting must not re-enter
-        clause, params = self._window_clause()
+        clause, params = window_clause(self.blocks, self.views)
         where = f" WHERE {clause}" if clause else ""
         lineages = self._require_open().execute(
             f"SELECT DISTINCT block, view FROM objects{where}", params
@@ -498,47 +713,27 @@ class LazySqliteStore:
         for block, view in lineages:
             self._fault_lineage((block, view))
 
-    def _build_link(self, row) -> Link:
-        import json
-
-        (link_id, sb, sv, sn, tb, tv, tn, link_class, propagates, link_type,
-         move) = row
-        return Link(
-            link_id=link_id,
-            source=OID(sb, sv, sn),
-            dest=OID(tb, tv, tn),
-            link_class=LinkClass(link_class),
-            propagates=set(json.loads(propagates)),
-            link_type=link_type,
-            move=bool(move),
-        )
-
-    _LINK_COLUMNS = (
-        "id, src_block, src_view, src_version, "
-        "dst_block, dst_view, dst_version, class, propagates, type, move"
-    )
-
     def _admit_link_row(self, row) -> Link | None:
         """Materialise one disk link row; None when outside the window,
         deleted this session, or superseded by a resident instance."""
         link_id = row[0]
-        if link_id in self._deleted_links:
+        if link_id in self.dirty.deleted_links:
             return None
         if dict.__contains__(self._links, link_id):
             return dict.__getitem__(self._links, link_id)
         if not (self._in_window(row[1], row[2]) and self._in_window(row[4], row[5])):
             return None
-        link = self._build_link(row)
+        link = Link(**link_fields(row))
         dict.__setitem__(self._links, link_id, link)
         self._disk_link_ids_loaded.add(link_id)
         return link
 
     @_locked
     def _fault_link(self, link_id: int) -> None:
-        if not isinstance(link_id, int) or link_id in self._deleted_links:
+        if not isinstance(link_id, int) or link_id in self.dirty.deleted_links:
             return
         row = self._require_open().execute(
-            f"SELECT {self._LINK_COLUMNS} FROM links WHERE id = ?", (link_id,)
+            f"SELECT {LINK_COLUMNS} FROM links WHERE id = ?", (link_id,)
         ).fetchone()
         if row is not None:
             self._admit_link_row(row)
@@ -554,7 +749,7 @@ class LazySqliteStore:
         out_ids: set[int] = set()
         in_ids: set[int] = set()
         rows = connection.execute(
-            f"SELECT {self._LINK_COLUMNS} FROM links "
+            f"SELECT {LINK_COLUMNS} FROM links "
             "WHERE (src_block = ? AND src_view = ? AND src_version = ?) "
             "OR (dst_block = ? AND dst_view = ? AND dst_version = ?)",
             (oid.block, oid.view, oid.version) * 2,
@@ -571,7 +766,7 @@ class LazySqliteStore:
                 in_ids.add(link.link_id)
         # Dirty links may have no disk row yet (created or retargeted
         # since the last flush): recover membership from the residents.
-        for link_id in self._dirty_links:
+        for link_id in self.dirty.links:
             link = dict.get(self._links, link_id)
             if link is None:
                 continue
@@ -588,7 +783,7 @@ class LazySqliteStore:
             return
         self._all_links = True
         for row in self._require_open().execute(
-            f"SELECT {self._LINK_COLUMNS} FROM links ORDER BY id"
+            f"SELECT {LINK_COLUMNS} FROM links ORDER BY id"
         ):
             link = self._admit_link_row(row)
             if link is None:
@@ -609,10 +804,11 @@ class LazySqliteStore:
             return
         if len(self._resident) <= self.cache_lineages:
             return
+        pinned = self.dirty.lineages()
         for lineage in list(self._resident):
             if len(self._resident) <= self.cache_lineages:
                 break
-            if lineage in self._dirty_lineages:
+            if lineage in pinned:
                 continue  # dirty shards are pinned until flush
             if lineage == protect:
                 # Never evict the shard being faulted in right now: its
@@ -652,7 +848,7 @@ class LazySqliteStore:
         out_ids = dict.pop(self._outgoing, oid, None) or set()
         in_ids = dict.pop(self._incoming, oid, None) or set()
         for link_id in out_ids | in_ids:
-            if link_id in self._dirty_links or link_id in self._deleted_links:
+            if link_id in self.dirty.links or link_id in self.dirty.deleted_links:
                 continue
             if dict.__contains__(self._links, link_id):
                 dict.__delitem__(self._links, link_id)
@@ -664,7 +860,7 @@ class LazySqliteStore:
 
     @_locked
     def _disk_lineage_sizes(self) -> dict[tuple[str, str], int]:
-        clause, params = self._window_clause()
+        clause, params = window_clause(self.blocks, self.views)
         where = f" WHERE {clause}" if clause else ""
         return {
             (block, view): count
@@ -698,7 +894,7 @@ class LazySqliteStore:
         else:
             disk_total = 0
             for row in self._require_open().execute(
-                f"SELECT {self._LINK_COLUMNS} FROM links"
+                f"SELECT {LINK_COLUMNS} FROM links"
             ):
                 if self._in_window(row[1], row[2]) and self._in_window(row[4], row[5]):
                     disk_total += 1
@@ -744,7 +940,7 @@ class LazySqliteStore:
         """Distinct on-disk values of property *name* (window-filtered)."""
         if self._all_objects:
             return set()
-        clause, params = self._window_clause()
+        clause, params = window_clause(self.blocks, self.views)
         where = f" AND {clause}" if clause else ""
         return {
             _decode_value(value_type, text)
@@ -778,7 +974,7 @@ class LazySqliteStore:
         """Non-resident lineage heads."""
         if self._all_objects:
             return set()
-        clause, params = self._window_clause()
+        clause, params = window_clause(self.blocks, self.views)
         where = f" WHERE {clause}" if clause else ""
         rows = self._require_open().execute(
             f"SELECT block, view, MAX(version) FROM objects{where} "
@@ -856,102 +1052,21 @@ class LazySqliteStore:
     def flush(self, registry: "ConfigurationRegistry | None" = None) -> None:
         """Write dirty shards, links and bookkeeping back to the file.
 
-        Runs in one SQL transaction.  Clean shards are untouched; the
-        ``meta`` table's logical clock and next-link-id always refresh
-        so a reopened store never reuses ids or regresses the clock.
+        One SQL transaction (:func:`write_rows`); clean shards are
+        untouched.
         """
-        import json
-
-        connection = self._require_open()
-        db = self.db
-        with connection:
-            connection.executemany(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                [
-                    ("clock", str(db.clock)),
-                    ("next_link_id", str(db._next_link_id)),
-                    ("name", db.name),
-                    # Journal watermark: travels with the same flush
-                    # transaction as the data it vouches for, so a crash
-                    # between flush and journal truncation replays only
-                    # the entries the flush did not cover.
-                    ("wal_seq", str(db.wal_seq)),
-                ],
-            )
-            for lineage in sorted(self._dirty_lineages):
-                block, view = lineage
-                connection.execute(
-                    "DELETE FROM objects WHERE block = ? AND view = ?", lineage
-                )
-                connection.execute(
-                    "DELETE FROM properties WHERE block = ? AND view = ?", lineage
-                )
-                for version in dict.get(self._lineages, lineage, []):
-                    obj = dict.get(self._objects, OID(block, view, version))
-                    if obj is None:
-                        continue
-                    connection.execute(
-                        "INSERT INTO objects VALUES (?, ?, ?, ?, ?)",
-                        (block, view, version, obj.created_seq, obj.checked_out_by),
-                    )
-                    for name, value in sorted(obj.properties.items()):
-                        value_type, text = _encode_value(value)
-                        connection.execute(
-                            "INSERT INTO properties VALUES (?, ?, ?, ?, ?, ?)",
-                            (block, view, version, name, text, value_type),
-                        )
-            touched = sorted(self._dirty_links | self._deleted_links)
-            for link_id in touched:
-                connection.execute("DELETE FROM links WHERE id = ?", (link_id,))
-            for link_id in sorted(self._dirty_links):
-                link = dict.get(self._links, link_id)
-                if link is None:
-                    continue
-                connection.execute(
-                    "INSERT INTO links VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        link.link_id,
-                        link.source.block, link.source.view, link.source.version,
-                        link.dest.block, link.dest.view, link.dest.version,
-                        link.link_class.value,
-                        json.dumps(sorted(link.propagates)),
-                        link.link_type,
-                        1 if link.move else 0,
-                    ),
-                )
-            if registry is not None and (
-                self.blocks is not None or self.views is not None
-            ):
-                # A windowed session only ever saw window-intersected
-                # configurations; rewriting the table from them would
-                # silently strip every out-of-window member.  Leave the
-                # stored configurations untouched.
-                registry = None
-            if registry is not None:
-                connection.execute("DELETE FROM configurations")
-                for name in registry.names():
-                    config = registry.get(name)
-                    connection.execute(
-                        "INSERT INTO configurations VALUES (?, ?, ?, ?, ?)",
-                        (
-                            config.name,
-                            config.description,
-                            config.created_clock,
-                            json.dumps(sorted(oid.wire() for oid in config.oids)),
-                            json.dumps(sorted(config.link_ids)),
-                        ),
-                    )
-        # The disk now mirrors every flushed link; account it as loaded.
-        self._disk_link_ids_loaded |= {
-            link_id
-            for link_id in self._dirty_links
-            if dict.__contains__(self._links, link_id)
-        }
-        self._disk_link_ids_loaded -= self._deleted_links
-        self._dirty_links.clear()
-        self._deleted_links.clear()
-        self._dirty_lineages.clear()
+        if self.blocks is not None or self.views is not None:
+            # A windowed session only ever saw window-intersected
+            # configurations; rewriting the table from them would
+            # silently strip every out-of-window member.  Leave the
+            # stored configurations untouched.
+            registry = None
+        # The disk will mirror every flushed link; account it as loaded.
+        flushed = {i for i in self.dirty.links if dict.__contains__(self._links, i)}
+        deleted = set(self.dirty.deleted_links)
+        write_rows(self._require_open(), self.db, registry)
+        self._disk_link_ids_loaded |= flushed
+        self._disk_link_ids_loaded -= deleted
 
     @_locked
     def close(self) -> None:
@@ -971,7 +1086,7 @@ class LazySqliteStore:
             "resident_objects": self._objects.resident_len(),
             "resident_lineages": len(self._resident),
             "resident_links": self._links.resident_len(),
-            "dirty_lineages": len(self._dirty_lineages),
+            "dirty_lineages": len(self.dirty.lineages()),
             "faults": self.faults,
             "evictions": self.evictions,
         }

@@ -826,6 +826,8 @@ class EventBus:
             "journal_errors": self.stats.get("journal_errors", 0),
             "checkpoints": self.stats.get("checkpoints", 0),
             "checkpoint_failures": self.stats.get("checkpoint_failures", 0),
+            # Rows the SQLite saves/write-backs wrote (the write-back size).
+            "checkpoint_rows": self.engine.db.store.dirty.rows_written,
             "events_since_checkpoint": self._events_since_checkpoint,
             # Governance gauges: plain int reads off the policy object,
             # same lock-free discipline as everything above.

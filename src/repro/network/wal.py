@@ -54,6 +54,7 @@ from repro.core.journal import (
     event_payload,
     payload_event,
 )
+from repro.metadb.persistence import replace_durably
 from repro.testing.faults import crash_point
 
 __all__ = [
@@ -514,12 +515,8 @@ class WriteAheadLog:
                 return 0
             marker = self.path / CHECKPOINT_NAME
             tmp = self.path / (CHECKPOINT_NAME + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump({"seq": seq}, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, marker)
-            _fsync_dir(self.path)
+            tmp.write_text(json.dumps({"seq": seq}), "utf-8")
+            replace_durably(tmp, marker)
             self.checkpoint_seq = seq
             # Rotate the tail away if it is fully covered, so it too can
             # be deleted and the journal stays bounded.

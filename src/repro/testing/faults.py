@@ -8,8 +8,10 @@ points*: zero-cost markers compiled into the durability-critical paths
 (``crash_point("mid-journal-append")`` between the two halves of a
 journal write, ``crash_point("mid-wave")`` between the durable append
 and the engine wave, ``crash_point("mid-flush")`` between the database
-checkpoint and the journal truncation, ``crash_point("mid-policy-apply")``
-between a policy lifecycle command's validation and its journal entry,
+checkpoint and the journal truncation, ``crash_point("mid-checkpoint-write")``
+inside a SQLite save's write transaction before it commits,
+``crash_point("mid-policy-apply")`` between a policy lifecycle
+command's validation and its journal entry,
 ``crash_point("mid-audit-append")`` inside the governed policy's audit
 append).  A production process never arms them; a test arms them either
 

@@ -295,3 +295,74 @@ class TestPersistedCounters:
         assert lazy.add_link(
             OID("mem", "rtl", 1), OID("cpu", "gate", 1)
         ).link_id == max_id + 1
+
+
+class TestIncrementalWriteBack:
+    """Saving back to the source file writes only what changed."""
+
+    def test_save_back_to_source_rewrites_only_changed_rows(self, db, tmp_path):
+        path = save_database(db, tmp_path / "db.sqlite")
+        loaded, registry = load_database(path)
+        inode = path.stat().st_ino
+        before = loaded.store.dirty.rows_written
+        loaded.get(OID("cpu", "gate", 1)).set("uptodate", True)
+        save_database(loaded, path, registry)
+        # one property row upserted, no configuration rows (none saved)
+        assert loaded.store.dirty.rows_written - before == 1
+        assert path.stat().st_ino == inode  # written in place, not replaced
+        again, _ = load_database(path)
+        assert database_to_dict(again) == database_to_dict(loaded)
+
+    def test_net_unchanged_property_writes_nothing(self, db, tmp_path):
+        path = save_database(db, tmp_path / "db.sqlite")
+        loaded, _ = load_database(path)
+        obj = loaded.get(OID("cpu", "rtl", 1))
+        obj.set("uptodate", False)
+        obj.set("uptodate", True)  # staled and freshened between saves
+        before = loaded.store.dirty.rows_written
+        save_database(loaded, path)
+        assert loaded.store.dirty.rows_written == before
+
+    def test_link_ids_survive_eager_load(self, tmp_path):
+        db = MetaDatabase()
+        for name in "abc":
+            db.create_object(OID(name, "v", 1))
+        first = db.add_link(OID("a", "v", 1), OID("b", "v", 1))
+        db.add_link(OID("b", "v", 1), OID("c", "v", 1))
+        db.remove_link(first.link_id)
+        loaded, _ = load_database(save_database(db, tmp_path / "db.sqlite"))
+        assert [link.link_id for link in loaded.links()] == [2]
+
+    def test_file_rewritten_elsewhere_forces_full_save(self, db, tmp_path):
+        path = save_database(db, tmp_path / "db.sqlite")
+        loaded, _ = load_database(path)
+        other = MetaDatabase(name="other")
+        other.create_object(OID("x", "v", 1))
+        save_database(other, path)  # someone else replaced the file
+        loaded.get(OID("cpu", "gate", 1)).set("uptodate", True)
+        assert not loaded.store.writes_back_to(path)
+        save_database(loaded, path)
+        again, _ = load_database(path)
+        assert database_to_dict(again) == database_to_dict(loaded)
+
+    def test_full_save_crash_leaves_the_old_file(self, db, tmp_path):
+        from repro.testing.faults import (
+            InjectedCrash,
+            clear_crash_points,
+            install_crash_point,
+        )
+
+        path = save_database(db, tmp_path / "db.sqlite")
+        before = path.read_bytes()
+        other = MetaDatabase(name="other")
+        other.create_object(OID("x", "v", 1))
+        install_crash_point("mid-checkpoint-write")
+        try:
+            with pytest.raises(InjectedCrash):
+                save_database(other, path)
+        finally:
+            clear_crash_points()
+        assert path.read_bytes() == before
+        assert not path.with_name(path.name + ".tmp").exists()
+        loaded, _ = load_database(path)
+        assert database_to_dict(loaded) == database_to_dict(db)

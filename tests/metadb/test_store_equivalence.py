@@ -7,21 +7,25 @@ must produce identical query results, stale sets, and clean
 ``check_integrity()`` — plus byte-identical ``select(force_scan=True)``
 output, which bypasses every index and pushdown.
 
-Link ids are deliberately *not* compared: the eager loaders compact ids
-while the lazy store preserves disk ids (so its write-back and pushdown
-stay addressable); equivalence is over the link *structure*
-(endpoints, class, propagate sets).
+Link ids are deliberately *not* compared across backends: the JSON
+loader compacts ids while both SQLite loaders preserve disk ids (so
+write-back and pushdown stay addressable); equivalence is over the
+link *structure* (endpoints, class, propagate sets).  The write-back
+test compares SQLite files with each other, ids included.
 """
 
+import json
 import random
 
 import pytest
 
+from repro.metadb.configurations import Configuration, ConfigurationRegistry
 from repro.metadb.database import MetaDatabase
 from repro.metadb.links import LinkClass
 from repro.metadb.oid import OID
-from repro.metadb.persistence import load_database, save_database
+from repro.metadb.persistence import database_to_dict, load_database, save_database
 from repro.metadb.query import Query, stale_objects
+from repro.metadb.workspace import Workspace
 
 VIEWS = ("rtl", "gate", "layout")
 OWNERS = ("ana", "bob", "cho")
@@ -146,23 +150,90 @@ def test_lazy_with_eviction_pressure_is_equivalent(seed, tmp_path):
             assert query(lazy) == query(eager)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+def checkpoint_round(db: MetaDatabase, ws: Workspace, rng: random.Random) -> None:
+    """One checkpoint interval of mixed mutations (same rng → same script)."""
+    for oid in rng.sample(sorted(db.oids()), 12):
+        obj = db.find(oid)
+        roll = rng.random()
+        if obj is None:
+            continue
+        if roll < 0.25:
+            obj.set("uptodate", not obj.get("uptodate"))
+        elif roll < 0.4:  # staled and re-checked-in: a net no-op
+            obj.set("uptodate", False)
+            obj.set("uptodate", True)
+        elif roll < 0.55:
+            obj.set("owner", rng.choice(OWNERS))
+        elif roll < 0.65:
+            if "score" in obj.properties:
+                obj.properties.delete("score")
+        elif roll < 0.8:
+            obj.set("note", rng.choice(("x", 0, 1, 2.5, True)))
+        elif not oid.block.startswith("w"):  # workspace versions keep files
+            db.remove_object(oid)
+    for obj in db.objects():  # Python-equal values of another type
+        note = obj.get("note")
+        if isinstance(note, bool):
+            obj.set("note", int(note))
+        elif note in (0, 1):
+            obj.set("note", bool(note))
+    links = sorted(db.links(), key=lambda link: link.link_id)
+    for link in rng.sample(links, min(2, len(links))):
+        db.remove_link(link.link_id)
+    survivors = sorted(db.oids())
+    links = sorted(db.links(), key=lambda link: link.link_id)
+    if links:
+        db.retarget_link(rng.choice(links).link_id, dest=rng.choice(survivors))
+    for _ in range(3):
+        source, dest = rng.sample(survivors, 2)
+        try:
+            db.add_link(source, dest, LinkClass.DERIVE, propagates=("outofdate",))
+        except Exception:
+            pass  # duplicate pair: skip
+    # check-out state of an earlier version, then a fresh check-in
+    checked_in = [oid for oid in sorted(db.oids()) if oid.block.startswith("w")]
+    if checked_in:
+        oid = rng.choice(checked_in)
+        holder = db.get(oid).checked_out_by
+        if holder is None:
+            ws.check_out(oid, rng.choice(OWNERS))
+        else:
+            ws.release(oid, holder)
+    ws.check_in(f"w{rng.randrange(3)}", "rtl", "text", properties={"uptodate": False})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_flush_round_trip_equivalence(seed, tmp_path):
-    """Mutating lazily + flushing equals mutating eagerly + saving."""
-    rng = random.Random(seed)
-    base = seeded_db(rng)
-    path_a = save_database(base, tmp_path / "a.sqlite")
-    path_b = save_database(base, tmp_path / "b.sqlite")
-
-    eager, eager_registry = load_database(path_a)
-    mutate(eager, random.Random(seed + 7))
-    save_database(eager, path_a, eager_registry)
-
-    lazy, lazy_registry = load_database(path_b, lazy=True)
-    mutate(lazy, random.Random(seed + 7))
-    save_database(lazy, path_b, lazy_registry)
-    lazy.close()
-
-    from_a, _ = load_database(path_a)
-    from_b, _ = load_database(path_b)
-    assert query_battery(from_a) == query_battery(from_b)
+    """Incremental write-back — eager and lazy, checkpoint after
+    checkpoint — reloads to exactly what a full rewrite of the same
+    mutated database writes to a fresh file."""
+    base = seeded_db(random.Random(seed))
+    registry = ConfigurationRegistry(base)
+    registry.save(Configuration.snapshot(base, "baseline"))
+    legs = []
+    for leg, lazy in (("eager", False), ("lazy", True), ("reference", False)):
+        path = save_database(base, tmp_path / f"{leg}.sqlite", registry)
+        db, db_registry = load_database(path, lazy=lazy)
+        ws = Workspace(root=tmp_path / f"ws-{leg}", db=db)
+        legs.append((leg, db, db_registry, ws, random.Random(seed + 7)))
+    inodes = {leg: (tmp_path / f"{leg}.sqlite").stat().st_ino for leg in ("eager", "lazy")}
+    for round_no in range(4):
+        for leg, db, db_registry, ws, rng in legs:
+            checkpoint_round(db, ws, rng)
+            if leg == "reference":
+                path = tmp_path / f"reference-{round_no}.sqlite"  # full rewrite
+            else:
+                path = tmp_path / f"{leg}.sqlite"  # incremental write-back
+            save_database(db, path, db_registry)
+        # JSON text, not dicts: True == 1 in Python, not on disk
+        full = load_database(tmp_path / f"reference-{round_no}.sqlite")
+        reference = json.dumps(database_to_dict(*full), sort_keys=True)
+        for leg in ("eager", "lazy"):
+            written = load_database(tmp_path / f"{leg}.sqlite")
+            text = json.dumps(database_to_dict(*written), sort_keys=True)
+            assert text == reference, (leg, round_no)
+            assert (tmp_path / f"{leg}.sqlite").stat().st_ino == inodes[leg]
+    legs[1][1].close()
+    assert query_battery(load_database(tmp_path / "lazy.sqlite")[0]) == (
+        query_battery(legs[0][1])
+    )

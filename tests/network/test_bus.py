@@ -372,3 +372,19 @@ class TestSubscriptions:
         stale_bus.unsubscribe(received.append)
         stale_bus.handle_line("postEvent outofdate down a,v,1")
         assert received == []
+
+
+class TestCheckpointRowsGauge:
+    def test_health_reports_rows_written_back(self, tmp_path):
+        from repro.metadb.persistence import load_database, save_database
+
+        seed = MetaDatabase()
+        seed.create_object(OID("a", "v", 1))
+        seed.create_object(OID("b", "v", 1))
+        path = save_database(seed, tmp_path / "db.sqlite")
+        db, _registry = load_database(path)
+        bus = EventBus(BlueprintEngine(db, Blueprint.from_source(SOURCE)))
+        assert bus.health_counters()["checkpoint_rows"] == 0
+        bus.handle_line('postEvent seen up a,v,1 "x"')
+        save_database(db, path)  # a checkpoint: writes back a's one new row
+        assert bus.health_counters()["checkpoint_rows"] == 1

@@ -19,6 +19,7 @@ path that must keep the journal.
 
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -96,6 +97,7 @@ def serve_subprocess(
     *,
     crash_points: str = "",
     checkpoint_every: int = 1000,
+    database: str = "db.json",
 ) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
@@ -110,7 +112,7 @@ def serve_subprocess(
             "-m",
             "repro.cli",
             "serve",
-            str(project_dir / "db.json"),
+            str(project_dir / database),
             str(project_dir / "flow.bp"),
             "--port",
             str(port),
@@ -245,6 +247,96 @@ class TestSubprocessCrashes:
             assert client.post_event("seen", "a,v,1", "up", arg="e3") == 1
         finally:
             restarted.kill()
+
+    #: Posts with a policy gate in the middle, so some are denied.
+    GATED_SCRIPT = (
+        ("seen", "a,v,1", "e1"),
+        ("propose",),
+        ("outofdate", "a,v,1", None),
+        ("seen", "a,v,1", "e2"),  # denied: a is stale
+        ("seen", "b,v,1", "e3"),  # denied: b never had uptodate set
+        ("outofdate", "b,v,1", None),
+        ("ckin", "a,v,1", None),
+        ("seen", "a,v,1", "e4"),
+        ("seen", "b,v,1", "e5"),  # denied: b is stale
+        ("ckin", "b,v,1", None),
+        ("seen", "b,v,1", "e6"),
+        ("outofdate", "a,v,1", None),
+    )
+
+    def run_script(self, directory, port, script, proc):
+        """Play *script*; on a dropped connection (the armed crash) wait
+        for the kill, restart without crash points and go on.  Returns
+        the final server and the journal seq of the last checkpoint that
+        completed before the crash (None: no crash)."""
+        crashed = None
+        client = BlueprintClient(port=port)
+        for step in script:
+            try:
+                if step[0] == "propose":
+                    client.policy_propose(
+                        "additive", "require", "event:seen", "$uptodate == true"
+                    )
+                else:
+                    client.post_event(step[0], step[1], "up", arg=step[2])
+            except ClientError as exc:
+                if "policy:" in str(exc):
+                    continue  # an audited denial, not a crash
+                assert crashed is None and wait_exit(proc) == 137
+                # the killed write rolled back: the file still loads, at
+                # the watermark of the last completed checkpoint
+                db, _ = load_database(directory / "db.sqlite")
+                with WriteAheadLog(directory / "journal") as wal:
+                    assert 0 < db.wal_seq == wal.checkpoint_seq < wal.last_seq
+                crashed = db.wal_seq
+                proc = serve_subprocess(directory, port, database="db.sqlite")
+                assert wait_for_port("127.0.0.1", port, timeout=10)
+                client = BlueprintClient(port=port)
+        return proc, client, crashed
+
+    def test_mid_checkpoint_write_crash_recovers_state_and_decisions(
+        self, project_dir
+    ):
+        """A kill inside the checkpoint's SQLite write-back transaction,
+        before its commit, must restart into exactly the stale set, data
+        and allow/deny decision log of a server that never crashed."""
+        observed, watermark = {}, None
+        for name, crash in (("crashing", "mid-checkpoint-write:2"), ("reference", "")):
+            directory = project_dir / name
+            directory.mkdir()
+            shutil.copy(project_dir / "flow.bp", directory)
+            save_database(load_database(project_dir / "db.json")[0], directory / "db.sqlite")
+            port = free_port()
+            proc = serve_subprocess(
+                directory, port, crash_points=crash, checkpoint_every=3,
+                database="db.sqlite",
+            )
+            try:
+                assert wait_for_port("127.0.0.1", port)
+                proc, client, crashed = self.run_script(
+                    directory, port, self.GATED_SCRIPT, proc
+                )
+                assert (crashed is not None) == bool(crash)
+                watermark = crashed if crash else watermark
+                observed[name] = (
+                    client.audit(),
+                    sorted(client.stale()),
+                    client.query("a,v,1"),
+                    client.query("b,v,1"),
+                )
+            finally:
+                proc.kill()
+                proc.wait(timeout=10)
+        (crash_audit, *crash_state), (audit, *state) = (
+            observed["crashing"], observed["reference"]
+        )
+        assert crash_state == state
+        assert [record["verdict"] for record in audit].count("DENY") == 3
+        # The audit ring is memory; the journal past the checkpoint is the
+        # durable decision log, and its replay re-decides it exactly.
+        assert crash_audit[0]["seq"] == watermark + 1
+        assert crash_audit == [r for r in audit if r["seq"] > watermark]
+        assert "DENY" in [record["verdict"] for record in crash_audit]
 
 
 def build_bus(db, wal=None, **kwargs) -> EventBus:
